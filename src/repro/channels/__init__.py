@@ -11,6 +11,12 @@
 
 from repro.channels.controller import MfacController
 from repro.channels.flow_control import CongestionControlBlock
-from repro.channels.mfac import Channel, ChannelFunction
+from repro.channels.mfac import Channel, ChannelFunction, ChannelGeometryError
 
-__all__ = ["Channel", "ChannelFunction", "CongestionControlBlock", "MfacController"]
+__all__ = [
+    "Channel",
+    "ChannelFunction",
+    "ChannelGeometryError",
+    "CongestionControlBlock",
+    "MfacController",
+]

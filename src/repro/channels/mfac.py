@@ -34,6 +34,18 @@ from repro.noc.routing import Direction
 HOL_SCAN_WINDOW = None
 
 
+class ChannelGeometryError(ValueError):
+    """A channel geometry that a single cycle of traffic could fill.
+
+    The network steps a gated bypass router only when one of its incoming
+    channels was non-empty at delivery.  That skip is exact because a
+    channel empty at delivery can take at most ``bandwidth`` flits in the
+    cycle (so it cannot turn congested when ``capacity > bandwidth``) and
+    none of them is deliverable before the next cycle (so
+    ``traversal_latency >= 1``).  Geometries breaking either are refused.
+    """
+
+
 class ChannelFunction(enum.Enum):
     """Runtime function of an MFAC (collapsing Fig. 3's four circuits).
 
@@ -126,6 +138,10 @@ class Channel:
         self.down = False
         self.dead = False
         self.dead_reason: str | None = None
+        if is_mfac:
+            # Refuse at build time any function the MFAC could later switch to.
+            for function in ChannelFunction:
+                self._geometry(function)
         self._refresh_geometry()
 
     # --- fault-scenario state transitions ------------------------------------
@@ -144,7 +160,13 @@ class Channel:
 
     def _refresh_geometry(self) -> None:
         """Recompute the function-dependent geometry (cached: these are
-        read on every send/delivery attempt, i.e. the hot path).
+        read on every send/delivery attempt, i.e. the hot path)."""
+        self.capacity, self.bandwidth, self.traversal_latency = self._geometry(
+            self.function
+        )
+
+    def _geometry(self, function: ChannelFunction) -> tuple[int, int, int]:
+        """(capacity, bandwidth, traversal_latency) under *function*.
 
         * capacity — flits the channel can hold.  Wires hold in-flight
           pipeline slots only (wire + ECC encode/decode stages are all
@@ -155,24 +177,35 @@ class Channel:
           retransmission/relaxed functions).
         * traversal_latency — cycles from send to earliest delivery
           (doubled under relaxed timing).
+
+        Raises :class:`ChannelGeometryError` unless capacity exceeds
+        bandwidth and the traversal takes at least one cycle.
         """
         if self.is_wire:
-            self.capacity = (self.link_latency + 4) * self.subnetworks
-        elif self.function is ChannelFunction.RETRANSMISSION:
-            self.capacity = self.stages_per_link
+            capacity = (self.link_latency + 4) * self.subnetworks
+        elif function is ChannelFunction.RETRANSMISSION:
+            capacity = self.stages_per_link
         else:
-            self.capacity = self.stages_per_link * self.links * self.subnetworks
-        if self.function in (ChannelFunction.RETRANSMISSION, ChannelFunction.RELAXED):
-            self.bandwidth = self.subnetworks
+            capacity = self.stages_per_link * self.links * self.subnetworks
+        if function in (ChannelFunction.RETRANSMISSION, ChannelFunction.RELAXED):
+            bandwidth = self.subnetworks
         else:
-            self.bandwidth = (
+            bandwidth = (
                 self.links * self.subnetworks if not self.is_wire else self.subnetworks
             )
-        self.traversal_latency = (
+        latency = (
             2 * self.link_latency
-            if self.function is ChannelFunction.RELAXED
+            if function is ChannelFunction.RELAXED
             else self.link_latency
         )
+        where = f"channel r{self.src}->r{self.dst} ({function.value})"
+        if capacity <= bandwidth:
+            raise ChannelGeometryError(
+                f"{where}: capacity {capacity} must exceed bandwidth {bandwidth}"
+            )
+        if latency < 1:
+            raise ChannelGeometryError(f"{where}: traversal latency {latency} < 1 cycle")
+        return capacity, bandwidth, latency
 
     @property
     def occupancy(self) -> int:
@@ -270,6 +303,8 @@ class Channel:
 
     def acknowledge(self, flit: Flit) -> None:
         """ACK received downstream: drop the retransmission copy."""
+        if not self.copies:
+            return  # no copies kept (the common case outside retransmission)
         try:
             self.copies.remove(flit)
         except ValueError:

@@ -9,7 +9,8 @@ advances everything cycle by cycle:
 3. channels deliver ready flits into powered routers — this is where link
    bit errors are sampled and the per-hop ECC outcome (correct / NACK /
    silent) is applied;
-4. powered routers run their pipeline; gated bypass routers forward one
+4. powered routers run their pipeline; gated bypass routers with work
+   (a non-empty incoming channel or a pending local source) forward one
    flit through the bypass switch;
 5. source queues inject into local input ports;
 6. on stats-epoch boundaries leakage is charged, temperatures and aging
@@ -116,9 +117,10 @@ class Network:
         self.sources = [SourceQueue(i) for i in range(topo.num_nodes)]
         self._node_router = [topo.router_of_node(n) for n in range(topo.num_nodes)]
         self._node_port = [topo.injection_port(n) for n in range(topo.num_nodes)]
+        self._router_nodes = [topo.local_nodes(rid) for rid in range(topo.num_routers)]
         self._router_locals: list[list[tuple[int, SourceQueue]]] = [
-            [(topo.injection_port(n), self.sources[n]) for n in topo.local_nodes(rid)]
-            for rid in range(topo.num_routers)
+            [(topo.injection_port(n), self.sources[n]) for n in nodes]
+            for nodes in self._router_nodes
         ]
         self._build()
 
@@ -129,6 +131,9 @@ class Network:
         self._out_flits_mark = np.zeros(self.topology.num_routers)
         self._running_avg_latency = 20.0  # reward fallback before data exists
         self._active_sources: set[int] = set()
+        # Routers with a non-empty incoming channel this cycle (the wake set
+        # `_deliver_channels` collects for `_step_routers`).
+        self._woken: set[int] = set()
 
         # Fault-scenario engine.  With no scenario configured, every hook
         # below is behind a single attribute/bool check and the run is
@@ -457,8 +462,9 @@ class Network:
         """``step`` with a ``prof.lap`` probe after each sub-phase.
 
         Mirrors :meth:`step` exactly — same phases, same order, same
-        simulation state transitions; the only additions are clock reads
-        into the profiler's own accumulators, so profiled runs stay
+        simulation state transitions, and the same router loop
+        (:meth:`_step_routers` with *prof*); the only additions are clock
+        reads into the profiler's own accumulators, so profiled runs stay
         bit-identical (tests/telemetry/test_simprof_identical.py guards
         the two paths against drifting apart).
         """
@@ -481,7 +487,7 @@ class Network:
         prof.lap("gating.tick")
         self._deliver_channels(cycle)
         prof.lap("link.deliver")
-        self._step_routers_profiled(cycle, prof)
+        self._step_routers(cycle, prof)
         self._inject(cycle)
         prof.lap("inject")
         next_cycle = cycle + 1
@@ -554,9 +560,13 @@ class Network:
         )
 
     def _deliver_channels(self, cycle: int) -> None:
+        woken = self._woken = set()
         for channel in self.channels:
             queue = channel.queue
-            if not queue or queue[0][1] > cycle:
+            if not queue:
+                continue
+            woken.add(channel.dst)
+            if queue[0][1] > cycle:
                 continue  # nothing ready (entries age monotonically)
             if channel.down:
                 continue  # scenario outage: flits are held, not lost
@@ -653,23 +663,50 @@ class Network:
 
     # --- phase 3: routers ---------------------------------------------------------------
 
-    def _step_routers(self, cycle: int) -> None:
+    def _step_routers(self, cycle: int, prof: "SimProfiler | None" = None) -> None:
+        """Step every live router that has work, in ascending id order.
+
+        Powered routers run their pipeline (``Router.step`` is itself a
+        no-op when empty).  A gated bypass router is stepped only when it
+        is in the wake set (an incoming channel was non-empty at delivery)
+        or a local source has a flit; any other gated router would grant
+        nothing, because a channel empty at delivery can neither turn
+        deliverable nor congested within the cycle (``ChannelGeometryError``
+        guards both).  The idle detector only runs while a router is ON, the
+        one state in which ``observe_idle`` acts.  With *prof* the same loop
+        takes a lap after each piece of work (bypass, idle detector, and
+        the pipeline stages inside ``Router.step_profiled``); visiting a
+        router with no work takes none, so its small cost lands in the
+        next lap, as for an empty powered router.
+        """
+        bypass = self.technique.uses_bypass
+        gating = self.technique.power_gating
+        woken = self._woken
+        active = self._active_sources
         for router in self.routers:
             if router.dead:
                 continue
             state = router.gating.state
             if state is PowerState.GATED:
-                if router.technique.uses_bypass:
+                rid = router.id
+                if bypass and (
+                    rid in woken or not active.isdisjoint(self._router_nodes[rid])
+                ):
                     if router.bypass_overloaded():
                         # Congestion watchdog: leave mode 0 early; the next
                         # control step re-decides with fresh state.
                         router.apply_mode(1, cycle)
                         self.stats.wakeups += 1
-                    elif router.bypass_step(cycle, self._router_locals[router.id]):
+                    elif router.bypass_step(cycle, self._router_locals[rid]):
                         self.stats.bypass_traversals += 1
+                    if prof is not None:
+                        prof.lap("router.bypass")
             elif state is not PowerState.WAKING:
-                router.step(cycle)
-            if self.technique.power_gating:
+                if prof is None:
+                    router.step(cycle)
+                else:
+                    router.step_profiled(cycle, prof)
+            if gating and router.gating.state is PowerState.ON:
                 # CP/CPD gate on idleness and pay a wakeup; IntelliNoC also
                 # gates on idleness (Section 1) but its bypass keeps
                 # forwarding sporadic flits without waking the router.
@@ -678,35 +715,8 @@ class Network:
                     and all(s.is_empty() for _, s in self._router_locals[router.id]),
                     cycle,
                 )
-
-    def _step_routers_profiled(self, cycle: int, prof: "SimProfiler") -> None:
-        """:meth:`_step_routers` splitting wall time per pipeline stage.
-
-        Same control flow; powered routers run :meth:`Router.step_profiled`
-        (rc_scan / vc_alloc / switch laps), bypass traversals and gating
-        bookkeeping get their own buckets.
-        """
-        for router in self.routers:
-            if router.dead:
-                continue
-            state = router.gating.state
-            if state is PowerState.GATED:
-                if router.technique.uses_bypass:
-                    if router.bypass_overloaded():
-                        router.apply_mode(1, cycle)
-                        self.stats.wakeups += 1
-                    elif router.bypass_step(cycle, self._router_locals[router.id]):
-                        self.stats.bypass_traversals += 1
-                prof.lap("router.bypass")
-            elif state is not PowerState.WAKING:
-                router.step_profiled(cycle, prof)
-            if self.technique.power_gating:
-                router.gating.observe_idle(
-                    router.is_idle()
-                    and all(s.is_empty() for _, s in self._router_locals[router.id]),
-                    cycle,
-                )
-                prof.lap("router.gating")
+                if prof is not None:
+                    prof.lap("router.gating")
 
     # --- phase 4: injection ---------------------------------------------------------------
 

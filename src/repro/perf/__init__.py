@@ -4,7 +4,8 @@ Orchestration-layer package behind the ``repro bench`` subcommand
 (ROADMAP item 1's "tracked perf trajectory"):
 
 * :mod:`repro.perf.bench` — runs the cycle-throughput matrix
-  (mesh/torus × injection 0.1/0.4 × scenario off/on), with an optional
+  (mesh/torus × injection 0.1/0.4 × scenario off/on, plus a light-load
+  mesh point at 0.02), with an optional
   :class:`~repro.telemetry.simprof.SimProfiler` pass per mesh cell for
   phase-level hot-spot attribution.
 * :mod:`repro.perf.history` — the committed, append-only

@@ -113,12 +113,18 @@ class TestSendDeliver:
         assert ch.deliverable(3)
 
     def test_overflow_raises(self):
-        ch = make_channel(depth=2, links=2)
-        fs = flits(3)
+        # depth 2 (capacity == bandwidth) is refused by ChannelGeometryError
+        # now; depth 4 overflows both the per-cycle budget and the capacity.
+        ch = make_channel(depth=4, links=2)
+        fs = flits(5)
         ch.send(fs[0], 0)
         ch.send(fs[1], 0)
         with pytest.raises(OverflowError):
-            ch.send(fs[2], 0)
+            ch.send(fs[2], 0)  # budget: two flits per cycle
+        ch.send(fs[2], 1)
+        ch.send(fs[3], 1)
+        with pytest.raises(OverflowError):
+            ch.send(fs[4], 2)  # capacity: four flits held
 
 
 class TestRetransmission:

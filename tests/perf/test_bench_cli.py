@@ -63,8 +63,9 @@ def run_stubbed(monkeypatch, cps, **options):
 class TestMatrix:
     def test_full_matrix_covers_topology_rate_scenario(self):
         cells = matrix(quick=False)
-        assert len(cells) == 8
+        assert len(cells) == 9  # 2 fabrics x 2 rates x 2 scenarios + light point
         assert ("torus", 0.4, "aging-cliff") in cells
+        assert ("mesh", 0.02, "") in cells
 
     def test_quick_matrix_is_mesh_scenario_off_only(self):
         assert matrix(quick=True) == [("mesh", 0.1, ""), ("mesh", 0.4, "")]
